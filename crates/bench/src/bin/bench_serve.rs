@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 
 use platter_bench::{host_record, write_json, HostRecord, RunScale};
 use platter_obs::{HistogramSnapshot, MetricsSnapshot};
-use platter_serve::{ModelRegistry, Pending, ServeConfig, ServeError, ServePool};
+use platter_serve::{ModelRegistry, Pending, Request, ServeConfig, ServeError, ServePool};
 use platter_tensor::Tensor;
 use platter_yolo::{YoloConfig, Yolov4};
 use rand::rngs::StdRng;
@@ -235,7 +235,7 @@ fn swap_under_load(model: &Yolov4, x: &Tensor, swaps: u64, submitters: usize) ->
             let x = x.clone();
             std::thread::spawn(move || {
                 while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                    match pool.submit_tensor(&x) {
+                    match pool.submit(Request::tensor(&x)) {
                         Ok(p) => {
                             p.wait().expect("swap must never fail a request");
                         }
@@ -341,7 +341,7 @@ fn burst_throughput(pool: &ServePool, x: &Tensor, n: usize, reps: usize) -> f64 
     for _ in 0..reps {
         let t = Instant::now();
         let pending: Vec<Pending> =
-            (0..n).map(|_| pool.submit_tensor(x).expect("burst fits queue")).collect();
+            (0..n).map(|_| pool.submit(Request::tensor(x)).expect("burst fits queue")).collect();
         for p in pending {
             p.wait().expect("healthy pool");
         }
@@ -359,7 +359,7 @@ fn per_request_throughput(pool: &ServePool, x: &Tensor, n: usize, reps: usize) -
     for _ in 0..reps {
         let t = Instant::now();
         for _ in 0..n {
-            pool.submit_tensor(x).expect("queue empty").wait().expect("healthy pool");
+            pool.submit(Request::tensor(x)).expect("queue empty").wait().expect("healthy pool");
         }
         best = best.min(t.elapsed().as_secs_f64());
     }
@@ -371,7 +371,7 @@ fn per_request_throughput(pool: &ServePool, x: &Tensor, n: usize, reps: usize) -
 /// not setup.
 fn warm(pool: &ServePool, x: &Tensor, n: usize) {
     let pending: Vec<Pending> =
-        (0..n).map(|_| pool.submit_tensor(x).expect("warmup fits queue")).collect();
+        (0..n).map(|_| pool.submit(Request::tensor(x)).expect("warmup fits queue")).collect();
     for p in pending {
         p.wait().expect("healthy pool");
     }
@@ -416,7 +416,7 @@ fn open_loop(pool: &ServePool, x: &Tensor, n: usize, interval: Duration) -> Open
         if let Some(wait) = due.checked_duration_since(Instant::now()) {
             std::thread::sleep(wait);
         }
-        match pool.submit_tensor(x) {
+        match pool.submit(Request::tensor(x)) {
             Ok(pending) => tx.send((Instant::now(), pending)).expect("collector alive"),
             Err(ServeError::Rejected { .. }) => shed += 1,
             Err(e) => panic!("unexpected submit error: {e}"),

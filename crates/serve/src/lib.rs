@@ -22,6 +22,13 @@
 //!   path, and periodic recompile probes restore the fast path when it
 //!   heals.
 //!
+//! Every request enters through one call, [`ServePool::submit`], with one
+//! [`Request`] value: the [`Input`] (an image, or an already letterboxed
+//! tensor), a [`DeadlineSpec`], a TTA flag, and an optional route to a
+//! registry model. [`ServePool::detect`] is its blocking wrapper. The
+//! pool's counters live in one place, its metrics registry, which
+//! [`ServePool::stats`] reads.
+//!
 //! On top of the pool sits the [`ModelRegistry`] (DESIGN.md §15): named,
 //! versioned models loaded from CRC-verified weight files, parity-smoked
 //! against the eager reference before they may touch traffic, hot-swapped
@@ -44,7 +51,7 @@
 //!
 //! ```
 //! use platter_imaging::{Image, Rgb};
-//! use platter_serve::{ServeConfig, ServeError, ServePool};
+//! use platter_serve::{Request, ServeConfig, ServeError, ServePool};
 //! use platter_yolo::{YoloConfig, Yolov4};
 //!
 //! fn main() -> Result<(), ServeError> {
@@ -55,6 +62,11 @@
 //!     for d in &detections {
 //!         assert!(d.bbox.is_valid());
 //!     }
+//!     // The same image with test-time augmentation: `submit` returns at
+//!     // once, `wait` blocks for the answer.
+//!     let pending = pool.submit(Request { tta: true, ..Request::image(&image) })?;
+//!     assert!(pending.wait()?.iter().all(|d| d.bbox.is_valid()));
+//!     assert_eq!(pool.stats().completed, 2);
 //!     pool.shutdown();
 //!     Ok(())
 //! }
@@ -94,11 +106,17 @@ pub use error::ServeError;
 pub use fault::{ServeFault, ServeFaultPlan};
 pub use platter_yolo::{SortTracker, Track, TrackConfig, TtaConfig};
 pub use pool::{
-    Pending, PendingFrame, ServeConfig, ServePool, ServeStats, SessionId, ShadowStatus,
-    TrackedFrame,
+    DeadlineSpec, Input, Pending, PendingFrame, Request, ServeConfig, ServePool, ServeStats,
+    SessionId, ShadowStatus, TrackedFrame,
 };
 pub use registry::{
     CanaryConfig, CanaryDecision, ModelInfo, ModelRegistry, ModelState, RegistryConfig,
     RegistryError, RollbackReason, SwapReport,
 };
 pub use sanitize::{sanitize_image, sanitize_tensor, InputError, Quarantine, QuarantineRecord};
+
+/// Lock a mutex, recovering the data if a previous holder panicked — a
+/// hardened runtime treats a poisoned lock as survivable, not fatal.
+pub(crate) fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}

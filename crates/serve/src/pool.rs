@@ -38,7 +38,7 @@
 //!   request is dropped, and the retired plan's weights are freed once the
 //!   last fork is gone.
 //! * **Routing and shadowing** — requests may target a named model
-//!   ([`ServePool::submit_image_to`]) registered alongside the default,
+//!   ([`Request::route`]) registered alongside the default,
 //!   and a shadow model can mirror a deterministic fraction of default
 //!   traffic, its detections diffed bit-exactly into metrics without ever
 //!   touching a response or the breaker.
@@ -64,7 +64,7 @@ use std::collections::{HashMap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender};
-use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -78,14 +78,9 @@ use serde::Serialize;
 use crate::breaker::{BreakerConfig, CircuitBreaker, ExecPath, Transition};
 use crate::error::ServeError;
 use crate::fault::{ServeFault, ServeFaultPlan};
+use crate::lock;
 use crate::registry::ModelEntry;
-use crate::sanitize::{sanitize_image, sanitize_tensor, Quarantine, QuarantineRecord};
-
-/// Lock a mutex, recovering the data if a previous holder panicked — a
-/// hardened runtime treats a poisoned lock as survivable, not fatal.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
+use crate::sanitize::{sanitize_image, sanitize_tensor, InputError, Quarantine, QuarantineRecord};
 
 /// Pool tuning. `ServeConfig::new(workers)` gives sensible defaults.
 #[derive(Clone, Debug)]
@@ -95,7 +90,7 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Bound on queued requests; submissions past it are shed.
     pub queue_capacity: usize,
-    /// Largest batch a worker coalesces.
+    /// Largest batch a worker coalesces. Must be at least 1.
     pub max_batch: usize,
     /// Longest a worker waits for more work before running a partial batch.
     pub max_wait: Duration,
@@ -113,8 +108,8 @@ pub struct ServeConfig {
     pub nms_iou: f32,
     /// NMS flavour.
     pub nms_kind: NmsKind,
-    /// View recipe used by TTA submissions ([`ServePool::submit_image_tta`]
-    /// and friends); plain submissions ignore it.
+    /// View recipe used by TTA requests ([`Request::tta`]); plain
+    /// requests ignore it.
     pub tta: TtaConfig,
     /// Name of the model the pool is constructed with (labels its metrics
     /// as `serve.model.{name}-v{version}.*` and keys it in the registry).
@@ -179,67 +174,105 @@ enum Reply {
     Frame {
         /// Owning session.
         session: u64,
-        /// Frame index within the session (assigned at submission).
+        /// Frame index within the session (assigned at admission).
         frame: u64,
         tx: SyncSender<Result<TrackedFrame, ServeError>>,
     },
 }
 
-/// How a submission's deadline is chosen. Every submit path routes through
-/// [`make_job`], the **single** stamping point — routed, TTA, and session
-/// submissions all resolve `Default` against the same clock read as the
-/// job's `submitted` anchor, so no path can drift from another.
-#[derive(Clone, Copy, Debug)]
-enum DeadlineSpec {
-    /// Apply [`ServeConfig::default_deadline`], if configured.
-    Default,
-    /// Use exactly this deadline (`None` = no deadline).
-    Explicit(Option<Instant>),
-}
-
-/// Build a job, stamping `submitted` and resolving the deadline from one
-/// `Instant::now()` read. This is the only place deadlines are stamped.
-fn make_job(
-    cfg: &ServeConfig,
-    x: Tensor,
-    map: Option<BoxMap>,
-    spec: DeadlineSpec,
-    tta: bool,
-    route: Option<Arc<ModelEntry>>,
-    reply: Reply,
-) -> Job {
-    let now = Instant::now();
-    let deadline = match spec {
-        DeadlineSpec::Default => cfg.default_deadline.map(|d| now + d),
-        DeadlineSpec::Explicit(d) => d,
-    };
-    Job { x, map, deadline, submitted: now, tta, route, reply }
-}
-
-/// Handle to an admitted request's eventual answer.
-#[derive(Debug)]
-pub struct Pending {
-    rx: Receiver<Result<Vec<Detection>, ServeError>>,
-}
-
-impl Pending {
-    /// Block until the request is answered. A pool torn down with the
-    /// request still queued answers [`ServeError::ShuttingDown`].
-    pub fn wait(self) -> Result<Vec<Detection>, ServeError> {
-        self.rx.recv().unwrap_or(Err(ServeError::ShuttingDown))
+impl Reply {
+    /// The one dispatch for every final answer — detections, a deadline
+    /// miss, an execution failure, or shutdown. A session frame's answer
+    /// goes through [`finish_session_frame`].
+    fn send(self, shared: &Shared, result: Result<Vec<Detection>, ServeError>) {
+        match self {
+            Reply::Dets(tx) => {
+                let _ = tx.send(result);
+            }
+            Reply::Frame { session, frame, tx } => {
+                finish_session_frame(shared, session, frame, result, tx)
+            }
+        }
     }
 }
 
-/// Handle to a session frame's eventual answer.
-#[derive(Debug)]
-pub struct PendingFrame {
-    rx: Receiver<Result<TrackedFrame, ServeError>>,
+/// How a request's deadline is chosen. Every submission is built by one
+/// stamping point (`make_job`), so plain, routed, TTA, and session
+/// submissions all resolve `Default` against the same clock read as the
+/// job's admission stamp — no path can drift from another.
+#[derive(Clone, Copy, Debug)]
+pub enum DeadlineSpec {
+    /// Apply [`ServeConfig::default_deadline`], if configured.
+    Default,
+    /// The request must start executing before this instant (`None` = no
+    /// deadline, never replaced by the default).
+    Explicit(Option<Instant>),
 }
 
-impl PendingFrame {
-    /// Block until the frame is answered. A pool torn down with the frame
-    /// still queued answers [`ServeError::ShuttingDown`].
-    pub fn wait(self) -> Result<TrackedFrame, ServeError> {
+/// What a [`Request`] asks the pool to detect on.
+#[derive(Clone, Copy, Debug)]
+pub enum Input<'a> {
+    /// A source image: sanitized, letterboxed to the model's input size,
+    /// and answered in source-image coordinates.
+    Image(&'a Image),
+    /// An already-preprocessed `[3, s, s]` tensor, answered in letterboxed
+    /// coordinates (no un-mapping is possible without the source geometry).
+    Tensor(&'a Tensor),
+}
+
+/// One detection request, the single argument of [`ServePool::submit`].
+/// Start from [`Request::image`] or [`Request::tensor`] (default deadline,
+/// no TTA, live model) and override fields with struct-update syntax, e.g.
+/// `Request { tta: true, ..Request::image(&image) }`.
+#[derive(Clone, Copy, Debug)]
+pub struct Request<'a> {
+    /// What to detect on.
+    pub input: Input<'a>,
+    /// How the deadline is chosen.
+    pub deadline: DeadlineSpec,
+    /// Serve with test-time augmentation (the configured
+    /// [`ServeConfig::tta`] views). A TTA request goes through the exact
+    /// same sanitization and admission control as a plain one — TTA buys
+    /// recall on degraded inputs, not a side door.
+    pub tta: bool,
+    /// Pin the request to a routed model key (exposed via
+    /// [`ModelRegistry::route`](crate::ModelRegistry::route)). Unknown keys
+    /// answer [`ServeError::UnknownModel`] at the door; a routed request
+    /// keeps its model even across live-slot swaps. `None` serves on
+    /// whatever is live when the batch runs.
+    pub route: Option<&'a str>,
+}
+
+impl<'a> Request<'a> {
+    /// A plain request for a source image.
+    pub fn image(image: &'a Image) -> Request<'a> {
+        Request::plain(Input::Image(image))
+    }
+
+    /// A plain request for an already-preprocessed `[3, s, s]` tensor.
+    pub fn tensor(x: &'a Tensor) -> Request<'a> {
+        Request::plain(Input::Tensor(x))
+    }
+
+    fn plain(input: Input<'a>) -> Request<'a> {
+        Request { input, deadline: DeadlineSpec::Default, tta: false, route: None }
+    }
+}
+
+/// Handle to an admitted request's eventual answer: detections for
+/// [`ServePool::submit`], a [`TrackedFrame`] for [`ServePool::submit_frame`].
+#[derive(Debug)]
+pub struct Pending<T = Vec<Detection>> {
+    rx: Receiver<Result<T, ServeError>>,
+}
+
+/// Handle to a session frame's eventual answer.
+pub type PendingFrame = Pending<TrackedFrame>;
+
+impl<T> Pending<T> {
+    /// Block until the request is answered. A pool torn down with the
+    /// request still queued answers [`ServeError::ShuttingDown`].
+    pub fn wait(self) -> Result<T, ServeError> {
         self.rx.recv().unwrap_or(Err(ServeError::ShuttingDown))
     }
 }
@@ -301,26 +334,33 @@ impl SessionState {
 }
 
 
-/// Monotonic counters describing everything the pool has done.
+/// Monotonic counters describing everything the pool has done. A view
+/// over the pool's [`MetricsRegistry`] — the same series
+/// [`ServePool::metrics`] exports, named on each field — plus the circuit
+/// breaker's own transition counts.
 #[derive(Clone, Debug, Default, Serialize)]
 pub struct ServeStats {
-    /// Requests admitted to the queue.
+    /// Requests admitted to the queue (`serve.accepted`).
     pub accepted: u64,
-    /// Requests shed because the queue was full.
+    /// Requests shed because the queue was full (`serve.sheds`).
     pub rejected_full: u64,
-    /// Requests refused by sanitization.
+    /// Requests refused by sanitization (sum of `serve.sanitize.*`).
     pub rejected_bad_input: u64,
-    /// Requests answered with detections.
+    /// Requests answered with detections (samples in `serve.latency_ms`).
     pub completed: u64,
-    /// Requests dropped because their deadline passed before execution.
+    /// Requests dropped because their deadline passed before execution
+    /// (`serve.deadline_misses`).
     pub deadline_dropped: u64,
-    /// Forward passes that panicked (contained by `catch_unwind`).
+    /// Forward passes that panicked, contained by `catch_unwind`
+    /// (`serve.worker_panics`).
     pub worker_panics: u64,
-    /// Forward passes that produced non-finite outputs.
+    /// Forward passes that produced non-finite outputs
+    /// (`serve.corrupt_outputs`).
     pub corrupt_outputs: u64,
-    /// Batches served by the compiled engine (probes included).
+    /// Batches served by the compiled engine, probes included
+    /// (`serve.batches.compiled`).
     pub compiled_batches: u64,
-    /// Batches served by the eager fallback.
+    /// Batches served by the eager fallback (`serve.batches.eager`).
     pub eager_batches: u64,
     /// Times the breaker tripped into degraded serving.
     pub breaker_trips: u64,
@@ -328,35 +368,29 @@ pub struct ServeStats {
     pub breaker_recoveries: u64,
     /// Recompile probes attempted.
     pub breaker_probes: u64,
-    /// Live-slot hot swaps performed.
+    /// Live-slot hot swaps performed (`serve.swap.count`).
     pub swaps: u64,
 }
 
-#[derive(Default)]
-struct Counters {
-    accepted: AtomicU64,
-    rejected_full: AtomicU64,
-    rejected_bad_input: AtomicU64,
-    completed: AtomicU64,
-    deadline_dropped: AtomicU64,
-    worker_panics: AtomicU64,
-    corrupt_outputs: AtomicU64,
-    compiled_batches: AtomicU64,
-    eager_batches: AtomicU64,
-    swaps: AtomicU64,
-}
-
-/// Observability handles registered in the pool-owned [`MetricsRegistry`].
-/// The histograms answer the questions the monotonic [`ServeStats`]
-/// counters cannot: how deep does the queue actually get, how well do
-/// batches coalesce, and what latency do requests see end to end.
+/// Observability handles registered in the pool-owned [`MetricsRegistry`],
+/// the pool's only counter store: [`ServeStats`] is read from these. The
+/// histograms answer what monotonic counters cannot: how deep does the
+/// queue actually get, how well do batches coalesce, and what latency do
+/// requests see end to end.
+///
+/// Updates are relaxed atomics. Every count an answer implies is bumped
+/// before that answer is sent, and a channel send happens-before its
+/// receive, so a client holding its answer reads stats that include it.
 struct ServeMetrics {
     registry: Arc<MetricsRegistry>,
-    /// Queue depth sampled after every admission.
+    /// Requests admitted (plain submissions and session frames).
+    accepted: Arc<Counter>,
+    /// Worker-queue depth sampled after every push.
     queue_depth: Arc<Histogram>,
     /// Jobs per executed batch (after the deadline cull).
     batch_size: Arc<Histogram>,
-    /// Admission-to-answer latency of completed requests, milliseconds.
+    /// Admission-to-answer latency of completed requests, milliseconds;
+    /// its sample count is the completed-request count.
     latency_ms: Arc<Histogram>,
     /// Queue wait of deadline-culled requests, milliseconds. Culled jobs
     /// never reach `latency_ms` (they have no answer latency), which made
@@ -367,6 +401,13 @@ struct ServeMetrics {
     sheds: Arc<Counter>,
     /// Requests dropped because their deadline passed before execution.
     deadline_misses: Arc<Counter>,
+    /// Failed execution attempts, by kind: contained panics and
+    /// non-finite outputs.
+    worker_panics: Arc<Counter>,
+    corrupt_outputs: Arc<Counter>,
+    /// Batches answered by the compiled engine and by the eager fallback.
+    compiled_batches: Arc<Counter>,
+    eager_batches: Arc<Counter>,
     /// Breaker state transitions (healthy → degraded and back).
     breaker_transitions: Arc<Counter>,
     /// Sanitization refusals, by reason: non-finite pixels…
@@ -406,12 +447,17 @@ impl ServeMetrics {
         // and 0.25 ms..~8 s (latency) with a handful of buckets each.
         let depth_buckets = (usize::BITS - queue_capacity.max(1).leading_zeros()).max(1) as usize;
         ServeMetrics {
+            accepted: registry.counter("serve.accepted"),
             queue_depth: registry.histogram("serve.queue_depth", &exp_bounds(1.0, 2.0, depth_buckets)),
             batch_size: registry.histogram("serve.batch_size", &exp_bounds(1.0, 2.0, 7)),
             latency_ms: registry.histogram("serve.latency_ms", &exp_bounds(0.25, 2.0, 16)),
             culled_wait_ms: registry.histogram("serve.culled_wait_ms", &exp_bounds(0.25, 2.0, 16)),
             sheds: registry.counter("serve.sheds"),
             deadline_misses: registry.counter("serve.deadline_misses"),
+            worker_panics: registry.counter("serve.worker_panics"),
+            corrupt_outputs: registry.counter("serve.corrupt_outputs"),
+            compiled_batches: registry.counter("serve.batches.compiled"),
+            eager_batches: registry.counter("serve.batches.eager"),
             breaker_transitions: registry.counter("serve.breaker_transitions"),
             sanitize_nonfinite: registry.counter("serve.sanitize.nonfinite"),
             sanitize_badshape: registry.counter("serve.sanitize.badshape"),
@@ -434,11 +480,19 @@ impl ServeMetrics {
     }
 
     /// Bump the per-reason refusal counter for `error`.
-    fn on_refusal(&self, error: &crate::sanitize::InputError) {
+    fn on_refusal(&self, error: &InputError) {
         match error {
-            crate::sanitize::InputError::NonFinite { .. } => self.sanitize_nonfinite.inc(),
-            crate::sanitize::InputError::BadShape { .. } => self.sanitize_badshape.inc(),
-            crate::sanitize::InputError::BadDims { .. } => self.sanitize_baddims.inc(),
+            InputError::NonFinite { .. } => self.sanitize_nonfinite.inc(),
+            InputError::BadShape { .. } => self.sanitize_badshape.inc(),
+            InputError::BadDims { .. } => self.sanitize_baddims.inc(),
+        }
+    }
+
+    /// Bump the counter for a failed execution attempt's kind.
+    fn on_failure(&self, failure: &ExecFailure) {
+        match failure {
+            ExecFailure::Panic(_) => self.worker_panics.inc(),
+            ExecFailure::NonFinite => self.corrupt_outputs.inc(),
         }
     }
 
@@ -543,7 +597,6 @@ struct Shared {
     faults: Mutex<ServeFaultPlan>,
     batch_seq: AtomicU64,
     submit_seq: AtomicU64,
-    stats: Counters,
     metrics: ServeMetrics,
 }
 
@@ -554,17 +607,24 @@ pub struct ServePool {
 }
 
 impl ServePool {
-    /// Spin up a pool serving `model`'s current weights.
+    /// Spin up a pool serving `model`'s current weights. Panics on an
+    /// invalid `cfg` (see [`ServePool::with_faults`]).
     pub fn new(model: &Yolov4, cfg: ServeConfig) -> ServePool {
         ServePool::with_faults(model, cfg, ServeFaultPlan::new())
     }
 
     /// Like [`ServePool::new`], with a deterministic fault schedule (see
     /// [`ServeFaultPlan`]). Production pools pass an empty plan.
+    ///
+    /// Panics if `cfg.max_batch` is 0: workers would take empty batches
+    /// forever, so admitted requests would never be answered and shutdown
+    /// would never return.
     pub fn with_faults(model: &Yolov4, cfg: ServeConfig, faults: ServeFaultPlan) -> ServePool {
+        assert!(cfg.max_batch > 0, "ServeConfig::max_batch must be at least 1");
         // Compile once, up front: workers fork this entry's engine instead
         // of recompiling, so N workers hold one copy of the weights.
-        let entry = Arc::new(ModelEntry::from_model(&cfg.model_name, cfg.model_version, model));
+        let engine = model.compile_inference();
+        let entry = Arc::new(ModelEntry::new(&cfg.model_name, cfg.model_version, model, engine));
         let shared = Arc::new(Shared {
             input_size: model.config.input_size,
             num_classes: model.config.num_classes,
@@ -584,7 +644,6 @@ impl ServePool {
             faults: Mutex::new(faults),
             batch_seq: AtomicU64::new(0),
             submit_seq: AtomicU64::new(0),
-            stats: Counters::default(),
             metrics: ServeMetrics::new(cfg.queue_capacity, cfg.workers),
             cfg,
         });
@@ -600,44 +659,74 @@ impl ServePool {
         ServePool { shared, workers: Mutex::new(workers) }
     }
 
-    /// Submit an image with the configured default deadline.
-    pub fn submit_image(&self, image: &Image) -> Result<Pending, ServeError> {
-        self.submit_image_inner(image, DeadlineSpec::Default, false, None)
+    /// Submit one request: every [`Request`] shape goes through the same
+    /// sanitization, deadline stamping, and admission control.
+    pub fn submit(&self, req: Request<'_>) -> Result<Pending, ServeError> {
+        let (tx, rx) = mpsc::sync_channel(1);
+        self.admit(self.make_job(req, Reply::Dets(tx))?)?;
+        Ok(Pending { rx })
     }
 
-    /// Submit an image that must start executing before `deadline`.
+    /// Shorthand for `submit(Request::image(image))`.
+    pub fn submit_image(&self, image: &Image) -> Result<Pending, ServeError> {
+        self.submit(Request::image(image))
+    }
+
+    /// Shorthand for an image [`Request`] with an explicit deadline.
     pub fn submit_image_with_deadline(
         &self,
         image: &Image,
         deadline: Option<Instant>,
     ) -> Result<Pending, ServeError> {
-        self.submit_image_inner(image, DeadlineSpec::Explicit(deadline), false, None)
+        self.submit(Request { deadline: DeadlineSpec::Explicit(deadline), ..Request::image(image) })
     }
 
-    /// Submit an image to be served with test-time augmentation (the
-    /// configured [`ServeConfig::tta`] views). The request goes through the
-    /// exact same sanitization and admission control as a plain submission —
-    /// TTA buys recall on degraded inputs, not a side door.
+    /// Shorthand for an image [`Request`] with [`Request::tta`] set.
     pub fn submit_image_tta(&self, image: &Image) -> Result<Pending, ServeError> {
-        self.submit_image_inner(image, DeadlineSpec::Default, true, None)
+        self.submit(Request { tta: true, ..Request::image(image) })
     }
 
-    /// Submit an image pinned to the routed model `model` (a registry key
-    /// exposed via [`ModelRegistry::route`](crate::ModelRegistry::route)).
-    /// Unknown keys answer [`ServeError::UnknownModel`] at the door; a
-    /// routed request keeps its model even across live-slot swaps.
+    /// Shorthand for an image [`Request`] routed to `model`.
     pub fn submit_image_to(&self, model: &str, image: &Image) -> Result<Pending, ServeError> {
-        let route = self.resolve_route(model)?;
-        self.submit_image_inner(image, DeadlineSpec::Default, false, Some(route))
+        self.submit(Request { route: Some(model), ..Request::image(image) })
     }
 
-    /// Sanitize and letterbox an image into its job tensor + box map.
-    fn prepare_image(&self, image: &Image) -> Result<(Tensor, BoxMap), ServeError> {
+    /// Build a request's job: resolve its route, prepare its input, and
+    /// stamp `submitted` and the deadline from one `Instant::now()` read.
+    /// This is the only place deadlines are stamped.
+    fn make_job(&self, req: Request<'_>, reply: Reply) -> Result<Job, ServeError> {
+        let route = req.route.map(|key| self.resolve_route(key)).transpose()?;
+        let (x, map) = self.prepare(req.input)?;
+        let now = Instant::now();
+        let deadline = match req.deadline {
+            DeadlineSpec::Default => self.shared.cfg.default_deadline.map(|d| now + d),
+            DeadlineSpec::Explicit(d) => d,
+        };
+        Ok(Job { x, map, deadline, submitted: now, tta: req.tta, route, reply })
+    }
+
+    /// Sanitize an input into its job tensor, letterboxing images (which
+    /// also yields the box map back to source coordinates). A refusal is
+    /// counted by reason and quarantined.
+    fn prepare(&self, input: Input<'_>) -> Result<(Tensor, Option<BoxMap>), ServeError> {
         let seq = self.shared.submit_seq.fetch_add(1, Ordering::SeqCst);
-        if let Err(e) = sanitize_image(image, self.shared.cfg.max_image_dim) {
-            self.refuse(seq, e.clone(), vec![image.width(), image.height()], image.raw());
+        let refused = match input {
+            Input::Image(image) => sanitize_image(image, self.shared.cfg.max_image_dim)
+                .err()
+                .map(|e| (e, vec![image.width(), image.height()], image.raw())),
+            Input::Tensor(x) => sanitize_tensor(x, self.shared.input_size)
+                .err()
+                .map(|e| (e, x.shape().to_vec(), x.as_slice())),
+        };
+        if let Some((e, shape, data)) = refused {
+            self.shared.metrics.on_refusal(&e);
+            lock(&self.shared.quarantine).record(seq, e.clone(), shape, data);
             return Err(ServeError::BadInput(e));
         }
+        let image = match input {
+            Input::Image(image) => image,
+            Input::Tensor(x) => return Ok((x.clone(), None)),
+        };
         let size = self.shared.input_size;
         let lb = image.letterbox(size);
         let x = Tensor::from_vec(lb.image.to_chw(), &[3, size, size]);
@@ -648,68 +737,7 @@ impl ServePool {
             orig_w: image.width(),
             orig_h: image.height(),
         };
-        Ok((x, map))
-    }
-
-    fn submit_image_inner(
-        &self,
-        image: &Image,
-        spec: DeadlineSpec,
-        tta: bool,
-        route: Option<Arc<ModelEntry>>,
-    ) -> Result<Pending, ServeError> {
-        let (x, map) = self.prepare_image(image)?;
-        let (tx, rx) = mpsc::sync_channel(1);
-        let job = make_job(&self.shared.cfg, x, Some(map), spec, tta, route, Reply::Dets(tx));
-        self.enqueue(job)?;
-        Ok(Pending { rx })
-    }
-
-    /// Submit an already-preprocessed `[3, s, s]` tensor with the default
-    /// deadline. Detections come back in letterboxed coordinates (no
-    /// un-mapping is possible without the source geometry).
-    pub fn submit_tensor(&self, x: &Tensor) -> Result<Pending, ServeError> {
-        self.submit_tensor_inner(x, DeadlineSpec::Default, false, None)
-    }
-
-    /// Submit a tensor that must start executing before `deadline`.
-    pub fn submit_tensor_with_deadline(
-        &self,
-        x: &Tensor,
-        deadline: Option<Instant>,
-    ) -> Result<Pending, ServeError> {
-        self.submit_tensor_inner(x, DeadlineSpec::Explicit(deadline), false, None)
-    }
-
-    /// Submit a tensor to be served with test-time augmentation; same
-    /// sanitization as [`ServePool::submit_tensor`].
-    pub fn submit_tensor_tta(&self, x: &Tensor) -> Result<Pending, ServeError> {
-        self.submit_tensor_inner(x, DeadlineSpec::Default, true, None)
-    }
-
-    /// Submit a tensor pinned to the routed model `model`; see
-    /// [`ServePool::submit_image_to`].
-    pub fn submit_tensor_to(&self, model: &str, x: &Tensor) -> Result<Pending, ServeError> {
-        let route = self.resolve_route(model)?;
-        self.submit_tensor_inner(x, DeadlineSpec::Default, false, Some(route))
-    }
-
-    fn submit_tensor_inner(
-        &self,
-        x: &Tensor,
-        spec: DeadlineSpec,
-        tta: bool,
-        route: Option<Arc<ModelEntry>>,
-    ) -> Result<Pending, ServeError> {
-        let seq = self.shared.submit_seq.fetch_add(1, Ordering::SeqCst);
-        if let Err(e) = sanitize_tensor(x, self.shared.input_size) {
-            self.refuse(seq, e.clone(), x.shape().to_vec(), x.as_slice());
-            return Err(ServeError::BadInput(e));
-        }
-        let (tx, rx) = mpsc::sync_channel(1);
-        let job = make_job(&self.shared.cfg, x.clone(), None, spec, tta, route, Reply::Dets(tx));
-        self.enqueue(job)?;
-        Ok(Pending { rx })
+        Ok((x, Some(map)))
     }
 
     /// Open a stream session with the default tracker configuration.
@@ -739,50 +767,11 @@ impl ServePool {
     /// by one as answers come back. Buffered frames count against
     /// [`ServeConfig::queue_capacity`] exactly like queued ones.
     pub fn submit_frame(&self, session: SessionId, image: &Image) -> Result<PendingFrame, ServeError> {
-        let (x, map) = self.prepare_image(image)?;
         let (tx, rx) = mpsc::sync_channel(1);
-        let shared = &self.shared;
-        let job = {
-            // Same lock order as everywhere else: `admission`, then
-            // `sessions`. Holding admission across the session update keeps
-            // the capacity check and the buffer/queue decision atomic.
-            let open = lock(&shared.admission);
-            if !*open {
-                return Err(ServeError::ShuttingDown);
-            }
-            let depth = shared.queued.load(Ordering::SeqCst)
-                + shared.session_pending.load(Ordering::SeqCst);
-            if depth >= shared.cfg.queue_capacity {
-                shared.stats.rejected_full.fetch_add(1, Ordering::SeqCst);
-                shared.metrics.sheds.inc();
-                return Err(ServeError::Rejected { queue_depth: depth });
-            }
-            let mut sessions = lock(&shared.sessions);
-            let s = sessions
-                .get_mut(&session.0)
-                .ok_or(ServeError::UnknownSession { session: session.0 })?;
-            if s.torn_down || s.closing {
-                return Err(ServeError::SessionTornDown);
-            }
-            let frame = s.frames_submitted;
-            s.frames_submitted += 1;
-            let reply = Reply::Frame { session: session.0, frame, tx };
-            let job = make_job(&shared.cfg, x, Some(map), DeadlineSpec::Default, false, None, reply);
-            if s.in_flight {
-                // A frame of this session is already out: buffer behind it.
-                s.pending.push_back(job);
-                shared.session_pending.fetch_add(1, Ordering::SeqCst);
-                None
-            } else {
-                s.in_flight = true;
-                Some(job)
-            }
-        };
-        if let Some(job) = job {
-            push_job(shared, job);
-        }
-        shared.stats.accepted.fetch_add(1, Ordering::SeqCst);
-        Ok(PendingFrame { rx })
+        // `admit` assigns the frame index, under the session lock.
+        let reply = Reply::Frame { session: session.0, frame: 0, tx };
+        self.admit(self.make_job(Request::image(image), reply)?)?;
+        Ok(Pending { rx })
     }
 
     /// Close a session. Frames already in the worker queues still answer
@@ -814,50 +803,41 @@ impl ServePool {
         lock(&self.shared.sessions).len()
     }
 
-    /// Convenience: submit an image and block for the answer.
+    /// Convenience: submit a plain image request and block for the answer.
     pub fn detect(&self, image: &Image) -> Result<Vec<Detection>, ServeError> {
-        self.submit_image(image)?.wait()
+        self.submit(Request::image(image))?.wait()
     }
 
-    /// Convenience: submit an image with TTA and block for the answer.
-    pub fn detect_tta(&self, image: &Image) -> Result<Vec<Detection>, ServeError> {
-        self.submit_image_tta(image)?.wait()
-    }
-
-    /// Convenience: submit an image pinned to routed model `model` and
-    /// block for the answer.
-    pub fn detect_with(&self, model: &str, image: &Image) -> Result<Vec<Detection>, ServeError> {
-        self.submit_image_to(model, image)?.wait()
-    }
-
-    /// Snapshot of the pool's counters.
+    /// Snapshot of the pool's counters, read from the metrics registry
+    /// (breaker counts from the circuit breaker).
     pub fn stats(&self) -> ServeStats {
-        let s = &self.shared.stats;
+        let m = &self.shared.metrics;
         let b = lock(&self.shared.breaker);
         ServeStats {
-            accepted: s.accepted.load(Ordering::SeqCst),
-            rejected_full: s.rejected_full.load(Ordering::SeqCst),
-            rejected_bad_input: s.rejected_bad_input.load(Ordering::SeqCst),
-            completed: s.completed.load(Ordering::SeqCst),
-            deadline_dropped: s.deadline_dropped.load(Ordering::SeqCst),
-            worker_panics: s.worker_panics.load(Ordering::SeqCst),
-            corrupt_outputs: s.corrupt_outputs.load(Ordering::SeqCst),
-            compiled_batches: s.compiled_batches.load(Ordering::SeqCst),
-            eager_batches: s.eager_batches.load(Ordering::SeqCst),
+            accepted: m.accepted.get(),
+            rejected_full: m.sheds.get(),
+            rejected_bad_input: m.sanitize_nonfinite.get()
+                + m.sanitize_badshape.get()
+                + m.sanitize_baddims.get(),
+            completed: m.latency_ms.count(),
+            deadline_dropped: m.deadline_misses.get(),
+            worker_panics: m.worker_panics.get(),
+            corrupt_outputs: m.corrupt_outputs.get(),
+            compiled_batches: m.compiled_batches.get(),
+            eager_batches: m.eager_batches.get(),
             breaker_trips: b.trips(),
             breaker_recoveries: b.recoveries(),
             breaker_probes: b.probes(),
-            swaps: s.swaps.load(Ordering::SeqCst),
+            swaps: m.swap_count.get(),
         }
     }
 
     /// Snapshot of the observability registry: `serve.queue_depth`,
     /// `serve.batch_size`, and `serve.latency_ms` histograms (count, mean,
-    /// p50/p90/p99, buckets) plus shed / deadline-miss / breaker-transition
-    /// counters, per-model batch counters (`serve.model.{label}.batches`),
-    /// swap counters (`serve.swap.*`), and shadow diff counters
-    /// (`serve.shadow.*`). Complements [`ServePool::stats`], which is
-    /// monotonic counters only.
+    /// p50/p90/p99, buckets) plus every counter [`ServePool::stats`] reads,
+    /// breaker transitions, per-model batch counters
+    /// (`serve.model.{label}.batches`), swap counters (`serve.swap.*`), and
+    /// shadow diff counters (`serve.shadow.*`).
     pub fn metrics(&self) -> MetricsSnapshot {
         self.shared.metrics.registry.snapshot()
     }
@@ -901,7 +881,7 @@ impl ServePool {
         (live.entry.name().to_string(), live.entry.version(), live.entry.fingerprint())
     }
 
-    /// Keys currently routable via [`ServePool::submit_image_to`], sorted.
+    /// Keys currently routable via [`Request::route`], sorted.
     pub fn routes(&self) -> Vec<String> {
         let mut keys: Vec<String> = lock(&self.shared.routes).keys().cloned().collect();
         keys.sort();
@@ -970,7 +950,6 @@ impl ServePool {
             live.epoch += 1;
             std::mem::replace(&mut live.entry, entry)
         };
-        self.shared.stats.swaps.fetch_add(1, Ordering::SeqCst);
         self.shared.metrics.swap_count.inc();
         displaced
     }
@@ -1013,58 +992,67 @@ impl ServePool {
             .ok_or_else(|| ServeError::UnknownModel { model: model.to_string() })
     }
 
-    fn refuse(&self, seq: u64, error: crate::sanitize::InputError, shape: Vec<usize>, data: &[f32]) {
-        self.shared.stats.rejected_bad_input.fetch_add(1, Ordering::SeqCst);
-        self.shared.metrics.on_refusal(&error);
-        lock(&self.shared.quarantine).record(seq, error, shape, data);
-    }
-
-    /// Admit a prebuilt job into the worker queues.
-    fn enqueue(&self, job: Job) -> Result<(), ServeError> {
+    /// The single admission point for requests and session frames. Under
+    /// the admission lock it checks that the pool is open and that the
+    /// backlog (`queued + session_pending`) has room, counting a shed if
+    /// not. It then queues the job — or, for a session frame, assigns the
+    /// frame index and buffers the frame behind the session's in-flight
+    /// one. Lock order: `admission`, then `sessions`, released before the
+    /// queue push. Holding admission throughout keeps the capacity check
+    /// and the buffer/queue decision atomic, and a worker re-checking
+    /// `queued` under it can never miss the push's wakeup.
+    fn admit(&self, mut job: Job) -> Result<(), ServeError> {
         let shared = &self.shared;
-        {
-            // The admission lock serialises the capacity check with the
-            // push and the notify: a worker re-checking `queued` under this
-            // lock can never miss the wakeup.
-            let open = lock(&shared.admission);
-            if !*open {
-                return Err(ServeError::ShuttingDown);
-            }
-            let depth = shared.queued.load(Ordering::SeqCst)
-                + shared.session_pending.load(Ordering::SeqCst);
-            if depth >= shared.cfg.queue_capacity {
-                shared.stats.rejected_full.fetch_add(1, Ordering::SeqCst);
-                shared.metrics.sheds.inc();
-                return Err(ServeError::Rejected { queue_depth: depth });
-            }
-            push_job_locked(shared, job, depth);
+        let open = lock(&shared.admission);
+        if !*open {
+            return Err(ServeError::ShuttingDown);
         }
-        shared.stats.accepted.fetch_add(1, Ordering::SeqCst);
+        let depth =
+            shared.queued.load(Ordering::SeqCst) + shared.session_pending.load(Ordering::SeqCst);
+        if depth >= shared.cfg.queue_capacity {
+            shared.metrics.sheds.inc();
+            return Err(ServeError::Rejected { queue_depth: depth });
+        }
+        let to_queue = match &mut job.reply {
+            Reply::Dets(_) => Some(job),
+            Reply::Frame { session, frame, .. } => {
+                let id = *session;
+                let mut sessions = lock(&shared.sessions);
+                let s = sessions.get_mut(&id).ok_or(ServeError::UnknownSession { session: id })?;
+                if s.torn_down || s.closing {
+                    return Err(ServeError::SessionTornDown);
+                }
+                *frame = s.frames_submitted;
+                s.frames_submitted += 1;
+                if s.in_flight {
+                    // A frame of this session is already out: buffer behind it.
+                    s.pending.push_back(job);
+                    shared.session_pending.fetch_add(1, Ordering::SeqCst);
+                    None
+                } else {
+                    s.in_flight = true;
+                    Some(job)
+                }
+            }
+        };
+        if let Some(job) = to_queue {
+            push_job(shared, job);
+        }
+        shared.metrics.accepted.inc();
         Ok(())
     }
 }
 
-/// Round-robin a job into a worker queue and wake a worker. Callers must
-/// hold the admission lock (pass the observed depth for the histogram).
-fn push_job_locked(shared: &Shared, job: Job, depth: usize) {
+/// Round-robin a job into a worker queue, sample the queue depth, and wake
+/// a worker. Callers must hold the admission lock.
+fn push_job(shared: &Shared, job: Job) {
     // Round-robin placement; an idle worker steals across queues, so
     // placement balances the steady state, stealing the bursts.
     let qi = shared.next_queue.fetch_add(1, Ordering::SeqCst) % shared.queues.len();
     lock(&shared.queues[qi]).push_back(job);
-    shared.queued.fetch_add(1, Ordering::SeqCst);
-    shared.metrics.queue_depth.record((depth + 1) as f64);
+    let depth = shared.queued.fetch_add(1, Ordering::SeqCst) + 1;
+    shared.metrics.queue_depth.record(depth as f64);
     shared.job_ready.notify_one();
-}
-
-/// Push an already-admitted job (a session frame being submitted or
-/// released) into the worker queues. No capacity check: the job was counted
-/// at admission. Pushing past shutdown is safe — the pushing thread is
-/// either a producer that held the admission lock while it was open, or a
-/// worker that will drain the queue itself before exiting.
-fn push_job(shared: &Shared, job: Job) {
-    let _open = lock(&shared.admission);
-    let depth = shared.queued.load(Ordering::SeqCst);
-    push_job_locked(shared, job, depth);
 }
 
 /// Answer session jobs that will never run (teardown / close / shutdown).
@@ -1278,67 +1266,32 @@ fn reply_ok(shared: &Shared, jobs: Vec<Job>, detections: Vec<Vec<Detection>>) {
                 .filter_map(|d| d.bbox.clipped().map(|bbox| Detection { bbox, ..d }))
                 .collect(),
         };
-        shared.stats.completed.fetch_add(1, Ordering::SeqCst);
+        // Recorded before the reply goes out: this histogram's sample count
+        // is `ServeStats::completed`.
         shared.metrics.latency_ms.record(job.submitted.elapsed().as_secs_f64() * 1e3);
-        match job.reply {
-            Reply::Dets(tx) => {
-                let _ = tx.send(Ok(out));
-            }
-            Reply::Frame { session, frame, tx } => {
-                finish_session_frame(shared, session, frame, Ok(out), tx);
-            }
-        }
+        job.reply.send(shared, Ok(out));
     }
 }
 
-/// Answer every job in `jobs` with a final execution error. A session
-/// frame whose final answer is a contained execution failure tears its
-/// session down: the tracker missed a frame it cannot recover from
-/// bit-exactly, so the stream is no longer trustworthy.
+/// Answer every job in `jobs` with a final error.
 fn reply_err(shared: &Shared, jobs: Vec<Job>, err: &ServeError) {
     for job in jobs {
-        match job.reply {
-            Reply::Dets(tx) => {
-                let _ = tx.send(Err(err.clone()));
-            }
-            Reply::Frame { session, frame: _, tx } => {
-                let _ = tx.send(Err(err.clone()));
-                teardown_session(shared, session);
-            }
-        }
+        job.reply.send(shared, Err(err.clone()));
     }
-}
-
-/// Tear a session down after a contained execution failure on one of its
-/// frames. Buffered frames answer [`ServeError::SessionTornDown`]; the
-/// entry stays behind (flagged) so later submissions also see
-/// `SessionTornDown` rather than `UnknownSession` — unless the client had
-/// already asked to close, in which case the entry goes now.
-fn teardown_session(shared: &Shared, session: u64) {
-    let drained: Vec<Job> = {
-        let mut sessions = lock(&shared.sessions);
-        match sessions.get_mut(&session) {
-            Some(s) => {
-                s.in_flight = false;
-                let drained = s.pending.drain(..).collect();
-                if s.closing {
-                    sessions.remove(&session);
-                } else {
-                    s.torn_down = true;
-                }
-                drained
-            }
-            None => Vec::new(),
-        }
-    };
-    fail_session_jobs(shared, drained, &ServeError::SessionTornDown);
 }
 
 /// Complete a session frame: step the tracker on a successful answer, send
 /// the reply, and release the session's next buffered frame into the
 /// worker queues — that release is what serialises a session's frames.
-/// `result` is `Err` only for a deadline miss: the frame is skipped (the
-/// tracker never sees it) and the stream continues.
+///
+/// A deadline miss skips the frame (the tracker never sees it) and the
+/// stream continues. Any other error — a contained execution failure, or
+/// shutdown — tears the session down: the tracker missed a frame it cannot
+/// recover from bit-exactly, so the stream is no longer trustworthy.
+/// Buffered frames then answer [`ServeError::SessionTornDown`], and the
+/// entry stays behind (flagged) so later submissions also see
+/// `SessionTornDown` rather than `UnknownSession` — unless the client had
+/// already asked to close, in which case the entry goes now.
 fn finish_session_frame(
     shared: &Shared,
     session: u64,
@@ -1346,7 +1299,8 @@ fn finish_session_frame(
     result: Result<Vec<Detection>, ServeError>,
     tx: SyncSender<Result<TrackedFrame, ServeError>>,
 ) {
-    let (msg, release) = {
+    let fatal = result.as_ref().is_err_and(|e| *e != ServeError::DeadlineExceeded);
+    let (msg, release, torn) = {
         let mut sessions = lock(&shared.sessions);
         match sessions.get_mut(&session) {
             Some(s) => {
@@ -1354,28 +1308,39 @@ fn finish_session_frame(
                     let tracks = s.tracker.step(&detections);
                     TrackedFrame { frame, detections, tracks }
                 });
-                let release = s.pending.pop_front();
+                let (release, torn) = if fatal {
+                    s.torn_down = true;
+                    (None, s.pending.drain(..).collect())
+                } else {
+                    (s.pending.pop_front(), Vec::new())
+                };
                 if release.is_none() {
                     s.in_flight = false;
                     if s.closing {
                         sessions.remove(&session);
                     }
                 }
-                (msg, release)
+                (msg, release, torn)
             }
             // Session vanished under the frame (shutdown race): answer the
             // detections without track context.
             None => (
                 result.map(|detections| TrackedFrame { frame, detections, tracks: Vec::new() }),
                 None,
+                Vec::new(),
             ),
         }
     };
-    // Send and push with the sessions lock released — `push_job` takes the
+    // Send and push with the sessions lock released — the push takes the
     // admission lock, which is never acquired after `sessions`.
     let _ = tx.send(msg);
+    fail_session_jobs(shared, torn, &ServeError::SessionTornDown);
     if let Some(job) = release {
         shared.session_pending.fetch_sub(1, Ordering::SeqCst);
+        // Already admitted, so no capacity check. Pushing past shutdown is
+        // safe: only a worker releases frames, and workers drain the queues
+        // before exiting.
+        let _open = lock(&shared.admission);
         push_job(shared, job);
     }
 }
@@ -1582,10 +1547,10 @@ fn run_group(
                 .metrics
                 .on_breaker(lock(&shared.breaker).record_success(path), we.entry.label());
             let counter = match path {
-                ExecPath::Eager => &shared.stats.eager_batches,
-                _ => &shared.stats.compiled_batches,
+                ExecPath::Eager => &shared.metrics.eager_batches,
+                _ => &shared.metrics.compiled_batches,
             };
-            counter.fetch_add(1, Ordering::SeqCst);
+            counter.inc();
             let shadow = if mirror { shadow_pick(shared, batch_idx) } else { None };
             let primary = shadow.as_ref().map(|_| dets.clone());
             reply_ok(shared, jobs, dets);
@@ -1594,11 +1559,7 @@ fn run_group(
             }
         }
         Err(failure) => {
-            let counter = match &failure {
-                ExecFailure::Panic(_) => &shared.stats.worker_panics,
-                ExecFailure::NonFinite => &shared.stats.corrupt_outputs,
-            };
-            counter.fetch_add(1, Ordering::SeqCst);
+            shared.metrics.on_failure(&failure);
             shared
                 .metrics
                 .on_breaker(lock(&shared.breaker).record_failure(path), we.entry.label());
@@ -1616,15 +1577,11 @@ fn run_group(
             let clean = Injected::default();
             match run_attempt(shared, we, ExecPath::Eager, &x, &clean, &tta_flags) {
                 Ok(dets) => {
-                    shared.stats.eager_batches.fetch_add(1, Ordering::SeqCst);
+                    shared.metrics.eager_batches.inc();
                     reply_ok(shared, jobs, dets);
                 }
                 Err(second) => {
-                    let counter = match &second {
-                        ExecFailure::Panic(_) => &shared.stats.worker_panics,
-                        ExecFailure::NonFinite => &shared.stats.corrupt_outputs,
-                    };
-                    counter.fetch_add(1, Ordering::SeqCst);
+                    shared.metrics.on_failure(&second);
                     reply_err(shared, jobs, &second.to_error());
                 }
             }
@@ -1674,7 +1631,6 @@ fn worker_main(shared: &Shared, wid: usize) {
         let (live, dead): (Vec<Job>, Vec<Job>) =
             jobs.into_iter().partition(|j| j.deadline.is_none_or(|d| now <= d));
         if !dead.is_empty() {
-            shared.stats.deadline_dropped.fetch_add(dead.len() as u64, Ordering::SeqCst);
             shared.metrics.deadline_misses.add(dead.len() as u64);
             for job in dead {
                 // Culled jobs never reach `latency_ms` (no answer exists);
@@ -1684,20 +1640,7 @@ fn worker_main(shared: &Shared, wid: usize) {
                     .metrics
                     .culled_wait_ms
                     .record(job.submitted.elapsed().as_secs_f64() * 1e3);
-                match job.reply {
-                    Reply::Dets(tx) => {
-                        let _ = tx.send(Err(ServeError::DeadlineExceeded));
-                    }
-                    // Deadlines are per frame: the miss skips this frame
-                    // and the session continues with its next one.
-                    Reply::Frame { session, frame, tx } => finish_session_frame(
-                        shared,
-                        session,
-                        frame,
-                        Err(ServeError::DeadlineExceeded),
-                        tx,
-                    ),
-                }
+                job.reply.send(shared, Err(ServeError::DeadlineExceeded));
             }
         }
         if live.is_empty() {

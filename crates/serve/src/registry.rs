@@ -44,7 +44,7 @@
 use std::fs;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 
 use platter_obs::{metric_label, Counter, MetricsRegistry, MetricsSnapshot};
 use platter_tensor::parity::{output_error, QUANT_TOL_MEAN, QUANT_TOL_WORST};
@@ -54,11 +54,8 @@ use platter_yolo::{CompiledModel, YoloConfig, Yolov4};
 use serde::Serialize;
 
 use crate::fault::{ServeFault, ServeFaultPlan};
+use crate::lock;
 use crate::pool::ServePool;
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// One named, versioned, *compiled* model: everything the pool needs to
 /// serve it (master engine to fork, weight snapshot for eager replicas,
@@ -82,35 +79,25 @@ pub(crate) struct ModelEntry {
 }
 
 impl ModelEntry {
-    pub(crate) fn from_model(name: &str, version: u64, model: &Yolov4) -> ModelEntry {
+    /// Wrap `model` and its compiled master `engine` — f32 from
+    /// [`Yolov4::compile_inference`], or INT8 from
+    /// [`Yolov4::compile_inference_quantized`]. The eager-fallback weight
+    /// snapshot is always f32 (eager replicas exist for reference answers,
+    /// not throughput).
+    pub(crate) fn new(
+        name: &str,
+        version: u64,
+        model: &Yolov4,
+        engine: CompiledModel,
+    ) -> ModelEntry {
         ModelEntry {
             name: name.to_string(),
             version,
             label: format!("{}-v{}", metric_label(name), version),
             cfg: model.config.clone(),
             weights: model.save(),
-            engine: model.compile_inference(),
+            engine,
         }
-    }
-
-    /// Like [`ModelEntry::from_model`], but the master engine is the INT8
-    /// path from [`Yolov4::compile_inference_quantized`], calibrated on
-    /// `calibration`. The eager-fallback weight snapshot stays f32 (eager
-    /// replicas exist for reference answers, not throughput).
-    pub(crate) fn from_model_quantized(
-        name: &str,
-        version: u64,
-        model: &Yolov4,
-        calibration: &[Tensor],
-    ) -> Result<ModelEntry, QuantError> {
-        Ok(ModelEntry {
-            name: name.to_string(),
-            version,
-            label: format!("{}-v{}", metric_label(name), version),
-            cfg: model.config.clone(),
-            weights: model.save(),
-            engine: model.compile_inference_quantized(calibration)?,
-        })
     }
 
     pub(crate) fn name(&self) -> &str {
@@ -572,7 +559,7 @@ impl ModelRegistry {
         model_cfg: YoloConfig,
         path: &Path,
     ) -> Result<String, RegistryError> {
-        self.load_file_with(name, version, model_cfg, path, None)
+        self.load(name, version, model_cfg, path, None)
     }
 
     /// Like [`ModelRegistry::load_file`], but the candidate is compiled
@@ -591,10 +578,15 @@ impl ModelRegistry {
         path: &Path,
         calibration: &[Tensor],
     ) -> Result<String, RegistryError> {
-        self.load_file_with(name, version, model_cfg, path, Some(calibration))
+        self.load(name, version, model_cfg, path, Some(calibration))
     }
 
-    fn load_file_with(
+    /// The one load path behind [`ModelRegistry::load_file`] and
+    /// [`ModelRegistry::load_file_quantized`]: consume this attempt's
+    /// injected faults, then read, verify, compile (INT8 when `quantize`
+    /// carries a calibration set), register, and smoke the candidate.
+    /// Every outcome bumps `registry.loads` or a typed rejection counter.
+    fn load(
         &self,
         name: &str,
         version: u64,
@@ -615,52 +607,34 @@ impl ModelRegistry {
                 _ => {}
             }
         }
-        self.load_file_inner(name, version, model_cfg, path, quantize, corrupt_candidate, parity_fail)
-            .inspect(|_| self.metrics.loads.inc())
-            .inspect_err(|e| self.metrics.on_reject(e))
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn load_file_inner(
-        &self,
-        name: &str,
-        version: u64,
-        model_cfg: YoloConfig,
-        path: &Path,
-        quantize: Option<&[Tensor]>,
-        corrupt_candidate: bool,
-        parity_fail: bool,
-    ) -> Result<String, RegistryError> {
-        let key = ModelRegistry::key_for(name, version);
-        if lock(&self.records).iter().any(|r| r.key == key) {
-            return Err(RegistryError::Duplicate { key });
-        }
-        let mut buf = fs::read(path).map_err(|e| RegistryError::Io {
-            path: path.display().to_string(),
-            message: e.to_string(),
-        })?;
-        if corrupt_candidate {
-            // Injected bit rot between read and decode: the PLTW CRC must
-            // catch it.
-            let mid = buf.len() / 2;
-            if let Some(b) = buf.get_mut(mid) {
-                *b ^= 0xff;
+        let result = (|| {
+            let key = ModelRegistry::key_for(name, version);
+            if lock(&self.records).iter().any(|r| r.key == key) {
+                return Err(RegistryError::Duplicate { key });
             }
-        }
-        // Strict decode: truncation/bit-flips surface as Malformed/Corrupt,
-        // wrong-architecture checkpoints as Incompatible.
-        let model = Yolov4::from_weights(model_cfg, &buf)?;
-        let entry = Arc::new(match quantize {
-            Some(calibration) => {
-                ModelEntry::from_model_quantized(name, version, &model, calibration)?
+            let mut buf = fs::read(path).map_err(|e| RegistryError::Io {
+                path: path.display().to_string(),
+                message: e.to_string(),
+            })?;
+            if corrupt_candidate {
+                // Injected bit rot between read and decode: the PLTW CRC must
+                // catch it.
+                let mid = buf.len() / 2;
+                if let Some(b) = buf.get_mut(mid) {
+                    *b ^= 0xff;
+                }
             }
-            None => ModelEntry::from_model(name, version, &model),
-        });
-        {
+            // Strict decode: truncation/bit-flips surface as Malformed/Corrupt,
+            // wrong-architecture checkpoints as Incompatible.
+            let model = Yolov4::from_weights(model_cfg, &buf)?;
+            let engine = match quantize {
+                Some(calibration) => model.compile_inference_quantized(calibration)?,
+                None => model.compile_inference(),
+            };
+            let entry = Arc::new(ModelEntry::new(name, version, &model, engine));
             // The record exists (Loaded) while the smoke runs; it is removed
             // again if the smoke rejects the candidate.
-            let mut records = lock(&self.records);
-            records.push(Record {
+            lock(&self.records).push(Record {
                 key: key.clone(),
                 name: name.to_string(),
                 version,
@@ -669,30 +643,31 @@ impl ModelRegistry {
                 dtype: entry.dtype().name(),
                 entry: Some(entry.clone()),
             });
-        }
-        if parity_fail {
-            // Injected mis-calibration: perturb the eager reference after
-            // the engine folded its weights, so smoke *must* disagree.
-            let params = model.parameters();
-            if let Some(p) = params.last() {
-                let t = p.value();
-                let data: Vec<f32> = t.as_slice().iter().map(|v| v + 0.75).collect();
-                p.set_value(Tensor::from_vec(data, t.shape()));
-            }
-        }
-        match self.smoke(&entry, &model) {
-            Ok(()) => {
-                let mut records = lock(&self.records);
-                if let Some(r) = records.iter_mut().find(|r| r.key == key) {
-                    r.state = ModelState::Smoked;
+            if parity_fail {
+                // Injected mis-calibration: perturb the eager reference after
+                // the engine folded its weights, so smoke *must* disagree.
+                let params = model.parameters();
+                if let Some(p) = params.last() {
+                    let t = p.value();
+                    let data: Vec<f32> = t.as_slice().iter().map(|v| v + 0.75).collect();
+                    p.set_value(Tensor::from_vec(data, t.shape()));
                 }
-                Ok(key)
             }
-            Err(e) => {
-                lock(&self.records).retain(|r| r.key != key);
-                Err(e)
+            match self.smoke(&entry, &model) {
+                Ok(()) => {
+                    let mut records = lock(&self.records);
+                    if let Some(r) = records.iter_mut().find(|r| r.key == key) {
+                        r.state = ModelState::Smoked;
+                    }
+                    Ok(key)
+                }
+                Err(e) => {
+                    lock(&self.records).retain(|r| r.key != key);
+                    Err(e)
+                }
             }
-        }
+        })();
+        result.inspect(|_| self.metrics.loads.inc()).inspect_err(|e| self.metrics.on_reject(e))
     }
 
     /// Run the candidate's compiled plan against its eager reference on a
@@ -733,7 +708,7 @@ impl ModelRegistry {
     }
 
     /// Expose `key` for per-request routing on `pool`
-    /// ([`ServePool::submit_image_to`] and friends). The model keeps its
+    /// ([`Request::route`](crate::Request::route)). The model keeps its
     /// rollout state; routing does not make it the default.
     pub fn route(&self, pool: &ServePool, key: &str) -> Result<(), RegistryError> {
         let entry = self.eligible_entry(key)?;

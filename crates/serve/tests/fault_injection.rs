@@ -6,12 +6,13 @@
 //! replays a whole trip/probe/recover scenario twice and compares both the
 //! stats and the detections bit-for-bit.
 
+use std::panic::{self, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 use platter_imaging::{Image, Rgb};
 use platter_serve::{
-    BreakerConfig, InputError, ServeConfig, ServeError, ServeFault, ServeFaultPlan, ServePool,
-    ServeStats,
+    BreakerConfig, DeadlineSpec, InputError, Request, ServeConfig, ServeError, ServeFault,
+    ServeFaultPlan, ServePool, ServeStats,
 };
 use platter_tensor::Tensor;
 use platter_yolo::{Detection, YoloConfig, Yolov4};
@@ -174,9 +175,9 @@ fn full_queue_sheds_with_typed_rejection() {
     let x = Tensor::zeros(&[3, size, size]);
     let mut pending = Vec::new();
     for _ in 0..4 {
-        pending.push(pool.submit_tensor(&x).expect("under capacity"));
+        pending.push(pool.submit(Request::tensor(&x)).expect("under capacity"));
     }
-    match pool.submit_tensor(&x) {
+    match pool.submit(Request::tensor(&x)) {
         Err(ServeError::Rejected { queue_depth }) => assert_eq!(queue_depth, 4),
         other => panic!("expected Rejected, got {other:?}"),
     }
@@ -202,13 +203,15 @@ fn expired_deadlines_drop_before_execution() {
     let size = nano_config().input_size;
     let x = Tensor::zeros(&[3, size, size]);
     let deadline = Instant::now() + Duration::from_millis(20);
-    let pending = pool.submit_tensor_with_deadline(&x, Some(deadline)).expect("admitted");
+    let request =
+        Request { deadline: DeadlineSpec::Explicit(Some(deadline)), ..Request::tensor(&x) };
+    let pending = pool.submit(request).expect("admitted");
     // The injected stall outlasts the deadline, so the batcher answers
     // without spending a forward pass on stale work.
     assert_eq!(pending.wait(), Err(ServeError::DeadlineExceeded));
 
     // Undeadlined work afterwards is unaffected.
-    assert!(pool.submit_tensor(&x).expect("admitted").wait().is_ok());
+    assert!(pool.submit(Request::tensor(&x)).expect("admitted").wait().is_ok());
     let stats = pool.stats();
     assert_eq!(stats.deadline_dropped, 1);
     assert_eq!(stats.completed, 1);
@@ -229,13 +232,13 @@ fn bad_inputs_are_quarantined_not_served() {
 
     let huge = Image::new(5000, 4, Rgb::new(0.1, 0.1, 0.1));
     assert!(matches!(
-        pool.submit_image(&huge),
+        pool.submit(Request::image(&huge)),
         Err(ServeError::BadInput(InputError::BadDims { .. }))
     ));
 
     let wrong = Tensor::zeros(&[1, 3, 32, 32]);
     assert!(matches!(
-        pool.submit_tensor(&wrong),
+        pool.submit(Request::tensor(&wrong)),
         Err(ServeError::BadInput(InputError::BadShape { .. }))
     ));
 
@@ -301,10 +304,10 @@ fn shutdown_drains_queued_work() {
 
     let size = nano_config().input_size;
     // First submission stalls in the worker; the rest pile up behind it.
-    let mut pending = vec![pool.submit_tensor(&Tensor::zeros(&[3, size, size])).unwrap()];
+    let mut pending = vec![pool.submit(Request::tensor(&Tensor::zeros(&[3, size, size]))).unwrap()];
     std::thread::sleep(Duration::from_millis(10));
     for _ in 0..3 {
-        pending.push(pool.submit_tensor(&Tensor::full(&[3, size, size], 0.25)).unwrap());
+        pending.push(pool.submit(Request::tensor(&Tensor::full(&[3, size, size], 0.25))).unwrap());
     }
     // Shutdown closes admission but drains what was already accepted.
     pool.shutdown();
@@ -314,7 +317,29 @@ fn shutdown_drains_queued_work() {
     let stats = pool.stats();
     assert_eq!(stats.completed, 4);
     assert!(matches!(
-        pool.submit_tensor(&Tensor::zeros(&[3, size, size])),
+        pool.submit(Request::tensor(&Tensor::zeros(&[3, size, size]))),
         Err(ServeError::ShuttingDown)
     ));
+}
+
+#[test]
+fn zero_max_batch_is_refused_at_construction() {
+    let model = nano_model(41);
+    let cfg = ServeConfig { max_batch: 0, ..serve_cfg(1) };
+    match panic::catch_unwind(AssertUnwindSafe(|| ServePool::new(&model, cfg))) {
+        // A pool built with `max_batch: 0` never answers what it admits and
+        // its shutdown never returns, so it must not be dropped: leak it.
+        Ok(pool) => {
+            std::mem::forget(pool);
+            panic!("a pool with max_batch 0 was built; it could never answer a request");
+        }
+        Err(payload) => {
+            let message = payload
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                .unwrap_or_default();
+            assert!(message.contains("max_batch"), "panic must name the field: {message:?}");
+        }
+    }
 }

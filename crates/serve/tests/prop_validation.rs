@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 use platter_imaging::{Image, Rgb};
-use platter_serve::{InputError, ServeConfig, ServeError, ServePool};
+use platter_serve::{DeadlineSpec, InputError, Request, ServeConfig, ServeError, ServePool};
 use platter_tensor::Tensor;
 use platter_yolo::{YoloConfig, Yolov4};
 
@@ -39,7 +39,7 @@ proptest! {
     #[test]
     fn arbitrary_shapes_never_panic_the_pool(shape in collection::vec(0usize..=20, 0..=4)) {
         let x = Tensor::zeros(&shape);
-        match pool().submit_tensor(&x) {
+        match pool().submit(Request::tensor(&x)) {
             Ok(pending) => {
                 prop_assert_eq!(&shape, &[3, INPUT_SIZE, INPUT_SIZE]);
                 prop_assert!(pending.wait().is_ok(), "well-formed tensor is served");
@@ -63,7 +63,7 @@ proptest! {
         let mut data = vec![fill; 3 * INPUT_SIZE * INPUT_SIZE];
         data[index] = bad;
         let x = Tensor::from_vec(data, &[3, INPUT_SIZE, INPUT_SIZE]);
-        match pool().submit_tensor(&x) {
+        match pool().submit(Request::tensor(&x)) {
             Err(ServeError::BadInput(InputError::NonFinite { index: at, count })) => {
                 prop_assert_eq!(at, index);
                 prop_assert_eq!(count, 1);
@@ -87,7 +87,8 @@ proptest! {
         let mut pending = Vec::new();
         for off in &offsets {
             let deadline = off.map(|ms| now + Duration::from_millis(ms));
-            match pool().submit_tensor_with_deadline(&x, deadline) {
+            let request = Request { deadline: DeadlineSpec::Explicit(deadline), ..Request::tensor(&x) };
+            match pool().submit(request) {
                 Ok(p) => pending.push(p),
                 Err(ServeError::Rejected { .. }) => {}
                 Err(other) => {
@@ -128,18 +129,18 @@ fn sanitize_counters_attribute_each_refusal_reason() {
     data[7] = f32::NAN;
     let bad_payload = Tensor::from_vec(data, &[3, INPUT_SIZE, INPUT_SIZE]);
     assert!(matches!(
-        pool.submit_tensor(&bad_payload),
+        pool.submit(Request::tensor(&bad_payload)),
         Err(ServeError::BadInput(InputError::NonFinite { .. }))
     ));
 
     assert!(matches!(
-        pool.submit_tensor(&Tensor::zeros(&[2, 2])),
+        pool.submit(Request::tensor(&Tensor::zeros(&[2, 2]))),
         Err(ServeError::BadInput(InputError::BadShape { .. }))
     ));
 
     let oversized = Image::new(128, 16, Rgb::new(0.4, 0.4, 0.4));
     assert!(matches!(
-        pool.submit_image(&oversized),
+        pool.submit(Request::image(&oversized)),
         Err(ServeError::BadInput(InputError::BadDims { .. }))
     ));
 

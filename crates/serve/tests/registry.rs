@@ -21,7 +21,7 @@ use std::time::Duration;
 
 use platter_serve::{
     CanaryConfig, CanaryDecision, ModelRegistry, ModelState, RegistryConfig, RegistryError,
-    RollbackReason, ServeConfig, ServeError, ServeFault, ServeFaultPlan, ServePool,
+    Request, RollbackReason, ServeConfig, ServeError, ServeFault, ServeFaultPlan, ServePool,
 };
 use platter_tensor::Tensor;
 use platter_yolo::{Detection, YoloConfig, Yolov4};
@@ -66,7 +66,13 @@ fn det_bits(dets: &[Detection]) -> Vec<(usize, u32, [u32; 4])> {
 /// Closed-loop request: one batch per call on a single-worker pool, so
 /// batch sequence numbers (and everything keyed to them) are deterministic.
 fn ask(pool: &ServePool, seed: usize) -> Vec<(usize, u32, [u32; 4])> {
-    det_bits(&pool.submit_tensor(&test_tensor(seed)).expect("admitted").wait().expect("answered"))
+    let pending = pool.submit(Request::tensor(&test_tensor(seed))).expect("admitted");
+    det_bits(&pending.wait().expect("answered"))
+}
+
+/// A tensor request pinned to the routed model `key`.
+fn routed_to<'a>(key: &'a str, x: &'a Tensor) -> Request<'a> {
+    Request { route: Some(key), ..Request::tensor(x) }
 }
 
 /// Write `model`'s checkpoint to a fresh temp file and return the path.
@@ -413,7 +419,7 @@ fn routed_requests_pin_their_model_and_unknown_routes_are_refused() {
         .expect("loads");
 
     // Routing requires an explicit registry decision.
-    let err = pool.submit_tensor_to(&key, &test_tensor(0)).unwrap_err();
+    let err = pool.submit(routed_to(&key, &test_tensor(0))).unwrap_err();
     assert_eq!(err, ServeError::UnknownModel { model: key.clone() });
     registry.route(&pool, &key).expect("routes");
     assert_eq!(pool.routes(), vec![key.clone()]);
@@ -422,7 +428,8 @@ fn routed_requests_pin_their_model_and_unknown_routes_are_refused() {
     // unroutedtraffic keeps hitting the incumbent's default.
     let got: Vec<_> = (0..4)
         .map(|i| {
-            det_bits(&pool.submit_tensor_to(&key, &test_tensor(i)).expect("admitted").wait().expect("answered"))
+            let pending = pool.submit(routed_to(&key, &test_tensor(i))).expect("admitted");
+            det_bits(&pending.wait().expect("answered"))
         })
         .collect();
     assert_eq!(got, want_b, "routed requests must serve on the pinned model");
@@ -435,7 +442,7 @@ fn routed_requests_pin_their_model_and_unknown_routes_are_refused() {
     assert_eq!(metrics.counter("serve.model.inc-v0.batches"), Some(1));
 
     registry.unroute(&pool, &key);
-    let err = pool.submit_tensor_to(&key, &test_tensor(0)).unwrap_err();
+    let err = pool.submit(routed_to(&key, &test_tensor(0))).unwrap_err();
     assert!(matches!(err, ServeError::UnknownModel { .. }));
     pool.shutdown();
 }
@@ -534,7 +541,8 @@ fn quantized_candidate_rides_the_full_rollout_path() {
 
     // Routable: explicitly routed requests serve on the i8 engine.
     registry.route(&pool, &key).expect("routes");
-    let routed = pool.submit_tensor_to(&key, &test_tensor(0)).expect("admitted").wait().expect("answered");
+    let routed =
+        pool.submit(routed_to(&key, &test_tensor(0))).expect("admitted").wait().expect("answered");
     for d in &routed {
         assert!(d.score.is_finite(), "quantized route must answer finite detections");
     }

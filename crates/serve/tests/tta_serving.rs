@@ -5,7 +5,7 @@
 use std::time::Duration;
 
 use platter_imaging::{Image, Rgb};
-use platter_serve::{ServeConfig, ServeFault, ServeFaultPlan, ServePool};
+use platter_serve::{Pending, Request, ServeConfig, ServeFault, ServeFaultPlan, ServePool};
 use platter_yolo::{YoloConfig, Yolov4};
 
 fn nano_config() -> YoloConfig {
@@ -17,12 +17,20 @@ fn test_image(seed: usize) -> Image {
     Image::new(40 + seed % 13, 30 + seed % 11, Rgb::new(shade, 0.5 - shade * 0.3, shade * 0.8))
 }
 
+/// A TTA request for `image`.
+fn tta(image: &Image) -> Request<'_> {
+    Request { tta: true, ..Request::image(image) }
+}
+
 #[test]
 fn tta_requests_are_served_with_valid_detections() {
     let model = Yolov4::new(nano_config(), 7);
     let pool = ServePool::new(&model, ServeConfig::new(1));
     for i in 0..4 {
-        let dets = pool.detect_tta(&test_image(i)).expect("tta request is served");
+        let dets = pool
+            .submit(tta(&test_image(i)))
+            .and_then(Pending::wait)
+            .expect("tta request is served");
         for d in &dets {
             assert!(d.bbox.is_valid());
             assert!(d.score.is_finite());
@@ -43,8 +51,8 @@ fn tta_is_deterministic_and_distinct_from_single_pass() {
     let pool = ServePool::new(&model, ServeConfig::new(1));
     let img = test_image(3);
     let plain = pool.detect(&img).expect("plain");
-    let tta_a = pool.detect_tta(&img).expect("tta");
-    let tta_b = pool.detect_tta(&img).expect("tta again");
+    let tta_a = pool.submit(tta(&img)).and_then(Pending::wait).expect("tta");
+    let tta_b = pool.submit(tta(&img)).and_then(Pending::wait).expect("tta again");
     assert_eq!(tta_a, tta_b, "tta serving is deterministic");
     // Sanity: both paths produce finite output. (They may coincide on a
     // featureless image, so no inequality assertion — just that the TTA
@@ -60,8 +68,8 @@ fn mixed_batch_serves_each_job_on_its_requested_path() {
     let cfg = ServeConfig { max_wait: Duration::from_millis(200), ..ServeConfig::new(1) };
     let pool = ServePool::new(&model, cfg);
     let img = test_image(5);
-    let plain_pending = pool.submit_image(&img).expect("admit plain");
-    let tta_pending = pool.submit_image_tta(&img).expect("admit tta");
+    let plain_pending = pool.submit(Request::image(&img)).expect("admit plain");
+    let tta_pending = pool.submit(tta(&img)).expect("admit tta");
     let plain = plain_pending.wait().expect("plain served");
     let tta = tta_pending.wait().expect("tta served");
     // The plain job must match a solo plain request exactly — sharing a
@@ -79,7 +87,10 @@ fn tta_request_survives_compiled_path_failure() {
     let pool = ServePool::with_faults(&model, ServeConfig::new(1), plan);
     // The corrupted identity pass trips the output guard; the eager retry
     // re-runs the full TTA view loop and still answers the request.
-    let dets = pool.detect_tta(&test_image(0)).expect("tta survives corrupt output");
+    let dets = pool
+        .submit(tta(&test_image(0)))
+        .and_then(Pending::wait)
+        .expect("tta survives corrupt output");
     assert!(dets.iter().all(|d| d.score.is_finite() && d.bbox.is_valid()));
     let stats = pool.stats();
     assert_eq!(stats.corrupt_outputs, 1);

@@ -11,7 +11,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use platter_serve::{ServeConfig, ServeFault, ServeFaultPlan, ServePool};
+use platter_serve::{Request, ServeConfig, ServeFault, ServeFaultPlan, ServePool};
 use platter_tensor::Tensor;
 use platter_yolo::{Detection, YoloConfig, Yolov4};
 
@@ -49,7 +49,7 @@ fn det_bits(dets: &[Detection]) -> Vec<(usize, u32, [u32; 4])> {
 /// submission order.
 fn burst(pool: &ServePool, n: usize) -> Vec<Vec<(usize, u32, [u32; 4])>> {
     let pending: Vec<_> =
-        (0..n).map(|i| pool.submit_tensor(&test_tensor(i)).expect("admitted")).collect();
+        (0..n).map(|i| pool.submit(Request::tensor(&test_tensor(i))).expect("admitted")).collect();
     pending.into_iter().map(|p| det_bits(&p.wait().expect("answered"))).collect()
 }
 
@@ -108,7 +108,7 @@ trait DetectFrom {
 
 impl DetectFrom for ServePool {
     fn detect_from(&self, x: &Tensor) {
-        self.submit_tensor(x).expect("admitted").wait().expect("answered");
+        self.submit(Request::tensor(x)).expect("admitted").wait().expect("answered");
     }
 }
 

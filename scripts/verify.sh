@@ -17,6 +17,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo doc (deny warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 
+echo "== frozen benchmark still builds (perfbench, locked) =="
+# perfbench/ is a separate workspace that is never edited alongside the
+# crates it drives. It must keep compiling against their public API, and
+# --locked fails if a dependency edit in any crate it builds would rewrite
+# perfbench/Cargo.lock.
+cargo check --offline --locked --manifest-path perfbench/Cargo.toml
+
 echo "== single-definition graph gate (no hand-written forward/compile pairs) =="
 # Topology lives in one generic `trace` per layer (DESIGN.md §11). The only
 # legal Graph-forward / Planner-compile implementations are the two Trace
